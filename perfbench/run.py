@@ -162,7 +162,8 @@ def run_jvm(root, classpath, args):
     work = os.path.join(root, BUILD_DIR, "run")
     shutil.rmtree(work, ignore_errors=True)
     os.makedirs(os.path.join(work, "tmp"))
-    cmd = (["java", f"-Xms{args.heap}", f"-Xmx{args.heap}", f"-XX:+Use{args.gc}",
+    # -XX:-UsePerfData: no jvmstat file in the system temp directory.
+    cmd = (["java", f"-Xms{args.heap}", f"-Xmx{args.heap}", f"-XX:+Use{args.gc}", "-XX:-UsePerfData",
             "-Djava.io.tmpdir=" + os.path.join(work, "tmp"),
             "-Dlog4j2.configurationFile=" + os.path.join(HERE, "log4j2.properties"),
             "-Dspark.driver.host=127.0.0.1"]
