@@ -3,7 +3,11 @@
 
 Usage, from the root of a checkout:
 
-    python3 perfbench/run.py --workload flights-relay --seed 1 --seconds 20 --trace 0
+    python3 perfbench/run.py --heap 3g --gc ParallelGC --master 'local[4]' \
+        --shuffle-partitions 2 --workload flights-relay --seed 1 --seconds 10 --trace 0
+
+The four run-environment options have no defaults: BENCHMARK.json's
+command is the one place they are set.
 
 The first run in a checkout builds the benchmark (an sbt build in this
 directory that compiles the repository's `root` project as a source
@@ -205,10 +209,10 @@ def parse_args(argv):
     p.add_argument("--seconds", type=int, required=True)
     p.add_argument("--trace", type=int, choices=(0, 1), default=0)
     # The run environment, pinned by BENCHMARK.json's command.
-    p.add_argument("--heap", default="3g")
-    p.add_argument("--gc", default="ParallelGC")
-    p.add_argument("--master", default="local[4]")
-    p.add_argument("--shuffle-partitions", type=int, default=2)
+    p.add_argument("--heap", required=True)
+    p.add_argument("--gc", required=True)
+    p.add_argument("--master", required=True)
+    p.add_argument("--shuffle-partitions", type=int, required=True)
     return p.parse_args(argv)
 
 
@@ -228,6 +232,9 @@ def main(argv):
         raw = run_jvm(root, classpath, args)
         for failure in raw.get("failures", []):
             log(f"failure: {failure}")
+        # The result line may hold no other keys, so the input digests,
+        # which must agree between runs of one seed, go to the log.
+        log(f"input digests: {json.dumps(raw['digests'], sort_keys=True)}")
         kind = "per_layer" if args.trace else "end_to_end"
         result = select_result(raw, spec[kind], end_to_end=not args.trace)
     except BenchError as e:

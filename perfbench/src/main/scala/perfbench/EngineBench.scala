@@ -39,8 +39,8 @@ object Column {
 }
 
 /** The engine layer (`repro.core`): every column timed over one stream,
-  * one engine pass at a time, in round-robin so that drift in the machine
-  * reaches every column alike.
+  * one whole pass of a fresh engine at a time, in round-robin cycles so
+  * that drift in the machine reaches every column alike.
   */
 final class EngineBench(columns: Seq[Column], rs: Array[Interaction], ops: Ops,
                         tracer: Option[Tracer]) {
@@ -59,69 +59,74 @@ final class EngineBench(columns: Seq[Column], rs: Array[Interaction], ops: Ops,
     "ok"
   }
 
-  /** Whole passes of fresh engines until `minNs` of processing elapsed.
-    * Returns ns per interaction and the number of passes.
+  /** One pass of a fresh engine of `c`; its cost in ns per interaction,
+    * or None when the pass failed.
     */
-  private def sample(c: Column, minNs: Long): (Double, Int) = {
-    var total = 0L; var passes = 0; var ok = true
-    while (ok && (passes == 0 || total < minNs)) {
-      val e = c.make()
-      val t0 = System.nanoTime()
-      val status =
-        try drive(e, t0)
-        catch { case _: InfeasibleError => "mem"; case NonFatal(x) => s"error $x" }
-      total += System.nanoTime() - t0
-      passes += 1
-      ops.attempted += 1
-      if (status == "ok") last(c.name) = e
-      else { ops.fail(s"${c.name} pass status ${status}"); ok = false }
-    }
-    (total.toDouble / (passes.toLong * n), passes)
+  private def pass(c: Column): Option[Double] = {
+    val e = c.make()
+    val t0 = System.nanoTime()
+    val status =
+      try drive(e, t0)
+      catch { case _: InfeasibleError => "mem"; case NonFatal(x) => s"error $x" }
+    val ns = (System.nanoTime() - t0).toDouble / n
+    ops.attempted += 1
+    if (status == "ok") { last(c.name) = e; Some(ns) }
+    else { ops.fail(s"${c.name} pass status $status"); None }
   }
 
-  /** JIT warm-up, part of set-up: two rounds of `perColumnNs` each. */
-  def warmUp(perColumnNs: Long): Unit =
-    for (_ <- 0 until 2; c <- columns) sample(c, perColumnNs / 2)
+  private var cycles = 0
 
-  private var rounds = 0
-
-  /** One round: one sample per column, each at least `sampleNs` long.
-    * With a tracer, every other round is traced.
+  /** One pass of every column. With a tracer, every other cycle is
+    * traced, one span per pass.
     */
-  def round(sampleNs: Long): Unit = {
-    columns.foreach(sampleOf(_, sampleNs, traced = tracer.isDefined && rounds % 2 == 0))
-    rounds += 1
+  private def cycle(): Unit = {
+    val traced = tracer.isDefined && cycles % 2 == 0
+    columns.foreach { c =>
+      tracer.filter(_ => traced) match {
+        case Some(t) =>
+          // The traced cost is the span's, so that it holds the tracing.
+          val (ok, sp) = t.span(s"core.${c.name}.pass")(_ => pass(c))
+          if (ok.isDefined) timed.getOrElseUpdate(c.name, mutable.ArrayBuffer.empty) += ((sp.ms * 1e6 / n, sp))
+        case None =>
+          pass(c).foreach(untimed.getOrElseUpdate(c.name, mutable.ArrayBuffer.empty) += _)
+      }
+    }
+    cycles += 1
   }
 
-  private def sampleOf(c: Column, sampleNs: Long, traced: Boolean): Unit =
-    tracer.filter(_ => traced) match {
-      case Some(t) =>
-        val ((ns, passes), sp) = t.span(s"core.${c.name}.sample")(_ => sample(c, sampleNs))
-        timed.getOrElseUpdate(c.name, mutable.ArrayBuffer.empty) +=
-          ((ns, sp.copy(counters = sp.counters + ("passes" -> passes.toDouble))))
-      case _ =>
-        untimed.getOrElseUpdate(c.name, mutable.ArrayBuffer.empty) += sample(c, sampleNs)._1
-    }
+  /** Cycles until `ns` elapsed, at least one. */
+  def run(ns: Long): Unit = {
+    val t0 = System.nanoTime()
+    while ({ cycle(); System.nanoTime() - t0 < ns }) ()
+  }
+
+  /** JIT warm-up, part of set-up: `ns` of untraced cycles whose times
+    * are dropped.
+    */
+  def warmUp(ns: Long): Unit = {
+    val t0 = System.nanoTime()
+    while ({ columns.foreach(pass); System.nanoTime() - t0 < ns }) ()
+  }
 
   /** End-to-end figures: the cost per interaction of each column and the
-    * peak accounted bytes of the heap policies. The cost is the fastest
-    * sample: a sample is single-threaded work on a fixed input, and on a
-    * shared machine interference only ever adds time to it, for minutes at
-    * a time, which moves a median from run to run by more than the bound.
+    * peak accounted bytes of the heap policies. The cost is that of the
+    * fastest pass: a pass is single-threaded work on a fixed input, and on
+    * a shared machine interference only ever adds time to it, for seconds
+    * to minutes at a time, which moves a median from run to run by more
+    * than the bound.
     */
   def endToEnd(m: Metrics): Unit = {
     columns.foreach(c => m.put(s"${c.name}.ns_per_interaction", untimed(c.name).min, "ns"))
     for (p <- Seq("lrb", "mrb"); e <- last.get(p)) m.put(s"$p.peak_accounted_bytes", e.memory.peakBytes.toDouble, "bytes")
   }
 
-  /** Per-layer figures, from the traced samples and the final engines. */
+  /** Per-layer figures, from the traced passes and the final engines. */
   def perLayer(m: Metrics): Unit = {
     columns.foreach { c =>
       val p = c.name
       val spans = timed(p).map(_._2)
-      val passes = spans.map(_("passes")).sum
-      m.put(s"$p.alloc_bytes_per_interaction", spans.map(_("alloc_bytes")).sum / (passes * n), "bytes")
-      m.put(s"$p.gc_ms", spans.map(_("gc_ms")).sum / passes, "ms")
+      m.put(s"$p.alloc_bytes_per_interaction", spans.map(_("alloc_bytes")).sum / (spans.size.toDouble * n), "bytes")
+      m.put(s"$p.gc_ms", spans.map(_("gc_ms")).sum / spans.size, "ms")
       m.put(s"trace.overhead.$p.ns_per_interaction",
             Stats.median(timed(p).map(_._1).toSeq) - Stats.median(untimed(p).toSeq), "ns")
       last.get(p).foreach { e =>

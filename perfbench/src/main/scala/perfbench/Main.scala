@@ -2,6 +2,9 @@ package perfbench
 
 import java.io.{File, PrintWriter}
 import org.apache.spark.sql.SparkSession
+import org.json4s.DefaultFormats
+import org.json4s.jackson.Serialization
+import repro.core.Interaction
 
 /** One workload: the profile its inputs are drawn from and their sizes.
   *
@@ -14,6 +17,14 @@ import org.apache.spark.sql.SparkSession
 final case class Workload(name: String, why: String, profile: Gen.Profile,
                           engineN: Int, sparkN: Int, sparkVertices: Int, components: Int) {
   def sparkProfile: Gen.Profile = profile.copy(vertices = sparkVertices)
+
+  /** The single-component stream of the engine columns. */
+  def engineStream(seed: Long): Array[Interaction] =
+    Gen.stream(profile, engineN, 1, Gen.subSeed(seed, "engine"))
+
+  /** The stream of the Spark layer, split into `components`. */
+  def sparkStream(seed: Long): Array[Interaction] =
+    Gen.stream(sparkProfile, sparkN, components, Gen.subSeed(seed, "spark"))
 }
 
 object Workload {
@@ -47,10 +58,10 @@ object Workload {
   */
 object Main {
 
-  /** Engine rounds per run: five between Spark calls, one after every
-    * five of the 40 timed micro-batches.
-    */
-  val EngineRounds = 13
+  /** Engine warm-up, part of set-up. */
+  val EngineWarmUpNs: Long = 1000L * 1000 * 1000
+
+  def toJson(v: Any): String = Serialization.write(v.asInstanceOf[AnyRef])(DefaultFormats)
 
   def main(args: Array[String]): Unit = {
     val opts = args.grouped(2).collect { case Array(k, v) if k.startsWith("--") => k.drop(2) -> v }.toMap
@@ -62,7 +73,7 @@ object Main {
     val trace = opt("trace") == "1"
     val workDir = new File(opt("work-dir"))
     val out = run(w, seed, seconds, trace, workDir, opt("master"), opt("shuffle-partitions").toInt, launchMs)
-    println(Json.render(out))
+    println(toJson(out))
   }
 
   private def timeS[T](body: => T): (T, Double) = {
@@ -83,30 +94,29 @@ object Main {
     val m = new Metrics
     val tracer = if (trace) Some(new Tracer(s"${w.name}-$seed")) else None
 
-    // Set-up, three times: generate both streams and fingerprint them.
+    // Generating both streams and their digests is timed three times and
+    // its median counts in set-up, so that a costlier generator shows.
+    // DigestSpec pins the digests of seed 1, run.py logs them, and the
+    // Spark input is checked against them below.
     val gens = (0 until 3).map { _ =>
       timeS {
-        val e = Gen.stream(w.profile, w.engineN, 1, Gen.subSeed(seed, "engine"))
-        val s = Gen.stream(w.sparkProfile, w.sparkN, w.components, Gen.subSeed(seed, "spark"))
+        val e = w.engineStream(seed); val s = w.sparkStream(seed)
         (e, s, Digest.of(e), Digest.of(s))
       }
     }
     val (engineRs, sparkRs, engineDigest, sparkDigest) = gens.head._1
-    ops.check("generated streams are identical across set-ups") {
-      require(gens.forall(g => g._1._3 == engineDigest && g._1._4 == sparkDigest), "digests differ")
-    }
     log(s"${w.name} seed=$seed engine stream: $engineDigest; spark stream: $sparkDigest")
     var setupS = toMainS + Stats.median(gens.map(_._2))
 
-    // Engine layer: `seconds` of round-robin samples in 13 rounds. The
-    // speed of a shared machine drifts over tens of seconds, so the rounds
-    // are spread over the whole run, between calls into Spark (which is
-    // idle then), rather than taken in one window.
-    val columns = Column.all(w.profile.vertices)
-    val engines = new EngineBench(columns, engineRs, ops, tracer)
-    setupS += phase("engine warm-up")(engines.warmUp(200L * 1000 * 1000))._2
-    val sampleNs = (1e9 * seconds / EngineRounds / columns.size).toLong
-    def engineRound(): Unit = engines.round(sampleNs)
+    // Engine layer: `seconds` of round-robin passes, before Spark starts,
+    // so that Spark's own use of `OrderedEngine` in this JVM cannot
+    // recompile the code being timed, and the engines' garbage is not
+    // collected inside Spark's timed calls.
+    val engines = new EngineBench(Column.all(w.profile.vertices), engineRs, ops, tracer)
+    setupS += phase("engine warm-up")(engines.warmUp(EngineWarmUpNs))._2
+    phase("engines")(engines.run((1e9 * seconds).toLong))
+    phase("engine checks")(engines.checks())
+    if (trace) engines.perLayer(m) else engines.endToEnd(m)
 
     // Spark layer: fixed numbers of repetitions and micro-batches, the
     // repetitions either side of the stream.
@@ -120,23 +130,14 @@ object Main {
       val (sb, prepS) = phase("spark input")(
         new SparkBench(spark, w.sparkProfile, w.components, sparkRs, workDir, slots, ops, tracer))
       setupS += prepS
-      engineRound()
       setupS += phase("dist warm-up")(sb.warmUp())._2
-      engineRound()
       val reps = if (trace) Workload.DistReps + 1 else Workload.DistReps
       phase("dist measure")(sb.measure((reps + 1) / 2))
-      engineRound()
       phase("dist checks")(sb.checks(m))
-      engineRound()
-      setupS += phase("stream")(
-        sb.stream(Workload.StreamWarmBatches, Workload.StreamBatches, every = 5, between = () => engineRound()))._1
+      setupS += phase("stream")(sb.stream(Workload.StreamWarmBatches, Workload.StreamBatches))._1
       phase("dist measure")(sb.measure(reps / 2))
-      engineRound()
       if (trace) { sb.perLayer(m); sb.streamPerLayer(m) } else { sb.endToEnd(m); sb.streamEndToEnd(m) }
     } finally spark.stop()
-
-    phase("engine checks")(engines.checks())
-    if (trace) engines.perLayer(m) else engines.endToEnd(m)
     m.put("setup_s", setupS, "s")
 
     log(s"${w.name} seed=$seed attempted=${ops.attempted} failed=${ops.failed}")
@@ -150,7 +151,7 @@ object Main {
       workDir.mkdirs()
       val f = new File(workDir, s"trace-${w.name}-seed$seed.json")
       val pw = new PrintWriter(f)
-      try pw.println(Json.render(result + ("spans" -> t.toJson))) finally pw.close()
+      try pw.println(toJson(result + ("spans" -> t.toJson))) finally pw.close()
     }
     result
   }

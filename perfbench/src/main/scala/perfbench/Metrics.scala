@@ -7,8 +7,6 @@ final class Metrics {
   private val m = mutable.LinkedHashMap.empty[String, (Double, String)]
 
   def put(name: String, value: Double, unit: String): Unit = {
-    require(Metrics.validName(name), s"invalid metric name '$name'")
-    require(Metrics.validUnit(unit), s"invalid unit '$unit' of $name")
     require(!value.isNaN && !value.isInfinite, s"$name is not a finite number: $value")
     m(name) = (value, unit)
   }
@@ -19,12 +17,4 @@ final class Metrics {
   /** Every metric as `name -> {value, unit}`, in insertion order. */
   def all: collection.Map[String, Any] =
     m.map { case (n, (v, u)) => n -> Map("value" -> v, "unit" -> u) }
-}
-
-object Metrics {
-  private val NameRe = "[A-Za-z0-9][A-Za-z0-9_.-]{0,63}".r
-  private val UnitRe = "[A-Za-z0-9_/%.-]{1,16}".r
-
-  def validName(s: String): Boolean = NameRe.matches(s)
-  def validUnit(s: String): Boolean = UnitRe.matches(s)
 }

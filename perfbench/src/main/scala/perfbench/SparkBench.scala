@@ -195,11 +195,10 @@ final class SparkBench(spark: SparkSession, profile: Gen.Profile, components: In
   /** Feed the stream, tagged with its generator components as
     * `TinGen`'s `component` column tags it, in `warm + batches` equal
     * micro-batches, timing each of the last `batches` from `addData` to
-    * `processAllAvailable`, and calling `between` after every `every`
-    * timed batches. Returns the time of starting the query and of the
-    * warm-up batches, which is set-up.
+    * `processAllAvailable`. Returns the time of starting the query and of
+    * the warm-up batches, which is set-up.
     */
-  def stream(warm: Int, batches: Int, every: Int, between: () => Unit): Double = {
+  def stream(warm: Int, batches: Int): Double = {
     implicit val sqlCtx: org.apache.spark.sql.SQLContext = spark.sqlContext
     val tags = rs.map(r => TaggedInteraction(r.id, r.t, r.s, r.d, r.q, Gen.componentOf(profile, components, r.s)))
     val size = tags.length / (warm + batches)
@@ -236,7 +235,6 @@ final class SparkBench(spark: SparkSession, profile: Gen.Profile, components: In
         else {
           (if (traced) tracedBatchMs else batchMs) += ms
           outRows += emitted.toDouble
-          if ((i - warm + 1) % every == 0) between()
         }
       }
       progress = query.recentProgress.toSeq.filter(_.numInputRows > 0).sortBy(_.batchId).drop(warm)

@@ -28,9 +28,16 @@ class DigestSpec extends AnyFunSuite {
     assert(Digest.of(moved) != d)
   }
 
-  test("the generator is pinned: a known seed gives a known stream") {
-    assert(Digest.of(Gen.stream(Gen.flights, 1000, 4, seed = 7L)).toString ==
-      "n=1000 sumq=126590.0 hash=b7a3d5d313b7b37e")
+  test("every workload's streams are pinned for seed 1") {
+    val pinned = Map(
+      "flights-relay" -> ("n=15000 sumq=1874569.0 hash=23d9d9aed5b4c5dd", "n=6300 sumq=786721.0 hash=a391a9c39d34fe25"),
+      "prosper-fresh" -> ("n=77000 sumq=5851418.0 hash=a186d920ee2b3431", "n=6300 sumq=473014.0 hash=3aa68e60a1fe2779"),
+    )
+    assert(Workload.all.map(_.name).toSet == pinned.keySet)
+    Workload.all.foreach { w =>
+      val got = (Digest.of(w.engineStream(1L)).toString, Digest.of(w.sparkStream(1L)).toString)
+      assert(got == pinned(w.name), w.name)
+    }
   }
 
   test("streams are time-ordered, whole-unit and inside their components") {

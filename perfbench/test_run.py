@@ -51,6 +51,19 @@ class ValidateSpec(unittest.TestCase):
                                      "end_to_end", "per_layer"})
 
 
+class ParseArgs(unittest.TestCase):
+
+    ARGS = ["--workload", "w1", "--seed", "1", "--seconds", "1", "--trace", "0"]
+    ENV = ["--heap", "1g", "--gc", "ParallelGC", "--master", "local[1]",
+           "--shuffle-partitions", "1"]
+
+    def test_the_run_environment_has_no_defaults(self):
+        self.assertEqual(run.parse_args(self.ARGS + self.ENV).heap, "1g")
+        for i in range(0, len(self.ENV), 2):
+            with self.assertRaises(SystemExit):
+                run.parse_args(self.ARGS + self.ENV[:i] + self.ENV[i + 2:])
+
+
 class SelectResult(unittest.TestCase):
 
     raw = {"correct": True, "attempted": 5, "failed": 0,
